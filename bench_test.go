@@ -422,20 +422,28 @@ func BenchmarkA1DatalogEngines(b *testing.B) {
 	})
 }
 
+// benchWorkers lists the worker counts of the parallel benchmarks: one
+// worker, plus all available CPUs when there is more than one (at
+// GOMAXPROCS=1 a second entry would repeat the first).
+func benchWorkers() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkEvalSemiNaiveParallel measures the parallel semi-naive engine
 // on transitive closure over chain forests of 1k/5k/20k edges, at 1 worker
-// and at all available CPUs. On single-core machines both configurations
-// degenerate to the sequential path; the per-size ns/op trajectory is
-// recorded in BENCH_datalog.json (see TestEmitDatalogBenchJSON).
+// and at all available CPUs; the per-size ns/op trajectory is recorded in
+// BENCH_datalog.json (see TestEmitDatalogBenchJSON).
 func BenchmarkEvalSemiNaiveParallel(b *testing.B) {
 	th := parser.MustParseTheory(`
 		E(X,Y) -> T(X,Y).
 		T(X,Y), T(Y,Z) -> T(X,Z).
 	`)
-	nWorkers := runtime.GOMAXPROCS(0)
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range []int{1, nWorkers} {
+		for _, workers := range benchWorkers() {
 			b.Run(fmt.Sprintf("edges=%d/workers=%d", edges, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := datalog.EvalSemiNaiveOpts(th, d, datalog.Options{Workers: workers}); err != nil {
@@ -474,7 +482,7 @@ func TestEmitDatalogBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, edges := range []int{1_000, 5_000, 20_000} {
 		d := gen.ChainForest(edges/49, 50)
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range benchWorkers() {
 			reps := 3
 			var best time.Duration
 			facts := 0
@@ -541,38 +549,32 @@ func joinBenchCases() []struct {
 	}
 }
 
-// BenchmarkJoinPlanner is the planner ablation: the cost-based planner
-// (per-round re-planning from live statistics) against the legacy static
-// greedy order, each cold (stratify + compile every evaluation) and warm
-// (a shared compiled Program, the serving layer's steady state).
+// BenchmarkJoinPlanner times the cost-based join planner (per-round
+// re-planning from live statistics) cold (stratify + compile every
+// evaluation) and warm (a shared compiled Program, the serving layer's
+// steady state).
 func BenchmarkJoinPlanner(b *testing.B) {
 	for _, c := range joinBenchCases() {
 		th := parser.MustParseTheory(c.theory)
-		for _, pl := range []struct {
-			name string
-			p    datalog.Planner
-		}{{"greedy", datalog.PlannerGreedy}, {"cost", datalog.PlannerCost}} {
-			opts := datalog.Options{Planner: pl.p}
-			b.Run(fmt.Sprintf("%s/planner=%s/cold", c.name, pl.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := datalog.EvalSemiNaiveOpts(th, c.db, opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/planner=%s/warm", c.name, pl.name), func(b *testing.B) {
-				p, err := datalog.Compile(th)
-				if err != nil {
+		b.Run(c.name+"/cold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{}); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Eval(c.db, opts); err != nil {
-						b.Fatal(err)
-					}
+			}
+		})
+		b.Run(c.name+"/warm", func(b *testing.B) {
+			p, err := datalog.Compile(th)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Eval(c.db, datalog.Options{}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -587,7 +589,6 @@ func TestEmitJoinBenchJSON(t *testing.T) {
 	}
 	type entry struct {
 		Name    string `json:"name"`
-		Planner string `json:"planner"`
 		Mode    string `json:"mode"`
 		NsPerOp int64  `json:"ns_per_op"`
 		Facts   int    `json:"facts"`
@@ -602,39 +603,32 @@ func TestEmitJoinBenchJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pl := range []struct {
-			name string
-			p    datalog.Planner
-		}{{"greedy", datalog.PlannerGreedy}, {"cost", datalog.PlannerCost}} {
-			opts := datalog.Options{Planner: pl.p}
-			for _, mode := range []string{"cold", "warm"} {
-				var best time.Duration
-				facts := 0
-				for r := 0; r < 3; r++ {
-					t0 := time.Now()
-					var fix *database.Database
-					var err error
-					if mode == "cold" {
-						fix, err = datalog.EvalSemiNaiveOpts(th, c.db, opts)
-					} else {
-						fix, err = prog.Eval(c.db, opts)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if el := time.Since(t0); r == 0 || el < best {
-						best = el
-					}
-					facts = fix.Len()
+		for _, mode := range []string{"cold", "warm"} {
+			var best time.Duration
+			facts := 0
+			for r := 0; r < 3; r++ {
+				t0 := time.Now()
+				var fix *database.Database
+				var err error
+				if mode == "cold" {
+					fix, err = datalog.EvalSemiNaiveOpts(th, c.db, datalog.Options{})
+				} else {
+					fix, err = prog.Eval(c.db, datalog.Options{})
 				}
-				report.Benchmarks = append(report.Benchmarks, entry{
-					Name:    fmt.Sprintf("JoinPlanner/%s/planner=%s/%s", c.name, pl.name, mode),
-					Planner: pl.name,
-					Mode:    mode,
-					NsPerOp: best.Nanoseconds(),
-					Facts:   facts,
-				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if el := time.Since(t0); r == 0 || el < best {
+					best = el
+				}
+				facts = fix.Len()
 			}
+			report.Benchmarks = append(report.Benchmarks, entry{
+				Name:    fmt.Sprintf("JoinPlanner/%s/%s", c.name, mode),
+				Mode:    mode,
+				NsPerOp: best.Nanoseconds(),
+				Facts:   facts,
+			})
 		}
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -717,10 +711,9 @@ func TestEmitMulticoreBenchJSON(t *testing.T) {
 // trajectory is recorded in BENCH_chase.json (see TestEmitChaseBenchJSON).
 func BenchmarkChaseParallel(b *testing.B) {
 	th := parser.MustParseTheory(sigmaPBench)
-	nWorkers := runtime.GOMAXPROCS(0)
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range []int{1, nWorkers} {
+		for _, workers := range benchWorkers() {
 			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					opts := chase.Options{Variant: chase.Restricted, MaxDepth: 4, MaxFacts: 2_000_000, Workers: workers}
@@ -757,7 +750,7 @@ func TestEmitChaseBenchJSON(t *testing.T) {
 	}{GoMaxProcs: runtime.GOMAXPROCS(0)}
 	for _, n := range []int{8, 24, 48} {
 		d := gen.CitationGraph(n)
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for _, workers := range benchWorkers() {
 			reps := 3
 			var best time.Duration
 			facts := 0

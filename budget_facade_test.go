@@ -21,7 +21,7 @@ func TestFacadeBudgetedChase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Chase(th, NewDatabase(facts...), ChaseOptions{Budget: &Budget{MaxFacts: 10}})
+	res, err := ChaseCtx(context.Background(), th, NewDatabase(facts...), Options{Budget: &Budget{MaxFacts: 10}})
 	if !errors.Is(err, ErrFactLimit) {
 		t.Fatalf("err = %v, want ErrFactLimit", err)
 	}
@@ -43,7 +43,7 @@ func TestFacadeChaseDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	facts, _ := ParseFacts("N(a).")
-	_, err = Chase(th, NewDatabase(facts...), ChaseOptions{Budget: &Budget{Timeout: time.Nanosecond}})
+	_, err = ChaseCtx(context.Background(), th, NewDatabase(facts...), Options{Budget: &Budget{Timeout: time.Nanosecond}})
 	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadline matching context.DeadlineExceeded", err)
 	}
@@ -57,7 +57,7 @@ func TestFacadeBudgetedTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := GuardedToDatalog(th, TranslateOptions{Budget: &Budget{MaxRules: 2}})
+	out, err := TranslateCtx(context.Background(), th, ToDatalog, Options{Budget: &Budget{MaxRules: 2}})
 	if !errors.Is(err, ErrRuleLimit) {
 		t.Fatalf("err = %v, want ErrRuleLimit", err)
 	}

@@ -252,72 +252,6 @@ func runA6(quick bool) error {
 	return nil
 }
 
-// runA7: ablation — cost-based join planning vs the legacy static greedy
-// order, both executed through the shared id-space plan runner. The cost
-// planner re-plans every work item each round from the database's live
-// cardinality statistics; results must be byte-identical (the plan only
-// fixes the enumeration order, never the fact set).
-func runA7(quick bool) error {
-	cases := []struct {
-		name   string
-		theory string
-		db     *database.Database
-	}{
-		{"closure", `
-			E(X,Y) -> T(X,Y).
-			T(X,Y), T(Y,Z) -> T(X,Z).
-		`, gen.ChainForest(20, 50)},
-		{"triangles", `
-			E(X,Y) -> T(X,Y).
-			T(X,Y), T(Y,Z), E(X,Z) -> Tri(X,Y).
-		`, gen.RandomGraph(120, 600, 11)},
-	}
-	if quick {
-		cases[0].db = gen.ChainForest(6, 30)
-		cases[1].db = gen.RandomGraph(60, 240, 11)
-	}
-	fmt.Printf("%-11s %-10s %-14s %-14s %-8s\n", "workload", "facts", "greedy", "cost", "ratio")
-	var js datalog.JoinStats
-	// Best of 3 per configuration: single-shot fixpoint timings on a
-	// shared machine swing by 2-3x from GC and scheduling noise.
-	best := func(opts datalog.Options, th *core.Theory, d *database.Database) (*database.Database, time.Duration, error) {
-		var fix *database.Database
-		var bestDt time.Duration
-		for r := 0; r < 3; r++ {
-			t0 := time.Now()
-			out, err := datalog.EvalSemiNaiveOpts(th, d, opts)
-			if err != nil {
-				return nil, 0, err
-			}
-			if dt := time.Since(t0); r == 0 || dt < bestDt {
-				bestDt = dt
-			}
-			fix = out
-		}
-		return fix, bestDt, nil
-	}
-	for _, c := range cases {
-		th := parser.MustParseTheory(c.theory)
-		g, greedyTime, err := best(datalog.Options{Planner: datalog.PlannerGreedy}, th, c.db)
-		if err != nil {
-			return err
-		}
-		p, costTime, err := best(datalog.Options{Planner: datalog.PlannerCost, Stats: &js}, th, c.db)
-		if err != nil {
-			return err
-		}
-		if g.String() != p.String() {
-			return fmt.Errorf("%s: planners derived different fixpoints", c.name)
-		}
-		fmt.Printf("%-11s %-10d %-14v %-14v %.2fx\n",
-			c.name, p.Len(), greedyTime.Round(time.Microsecond), costTime.Round(time.Microsecond),
-			float64(greedyTime)/float64(costTime))
-	}
-	fmt.Printf("cost planner activity: %d round plans, %d hash tables, %d probe steps\n",
-		js.RoundPlans.Load(), js.HashTables.Load(), js.ProbeSteps.Load())
-	return nil
-}
-
 // runA8: ablation — certified budget-free chase vs the bounded fallback.
 // The termination analyzer certifies each theory's class and, for weakly
 // acyclic ones, derives an exact fact bound for the concrete database;

@@ -18,17 +18,15 @@ import (
 )
 
 // Options is the unified, context-first configuration of every facade
-// entry point (the v2 API). It merges the per-engine option structs the
-// v1 facade grew (ChaseOptions, DatalogOptions, TranslateOptions) into a
-// single value that every *Ctx function accepts.
+// entry point: the chase, Datalog evaluation, the translations and core
+// computation all take this one value.
 //
 // Resource limits have exactly one code path: the Max* fields and
 // Timeout below are routed into an internal/budget budget (together
 // with the call's context), so exhausting any of them returns the
 // partial result alongside a typed *BudgetError — there is no separate
-// soft-truncating integer path in the v2 API. DESIGN.md §6 documents
-// the mapping from the legacy v1 fields. The zero value means
-// "ungoverned engine defaults".
+// soft-truncating integer path. The zero value means "ungoverned engine
+// defaults".
 type Options struct {
 	// Variant selects the chase flavor (Oblivious or Restricted) for the
 	// chase-backed entry points. The zero value is Oblivious, matching
@@ -100,9 +98,9 @@ func (o Options) budget(ctx context.Context) *Budget {
 }
 
 // chaseOptions lowers Options onto the chase engine. All limits travel
-// through the budget (typed errors), never the legacy soft ints.
-func (o Options) chaseOptions(ctx context.Context) ChaseOptions {
-	return ChaseOptions{
+// through the budget (typed errors), never the engine's soft ints.
+func (o Options) chaseOptions(ctx context.Context) chase.Options {
+	return chase.Options{
 		Variant:  o.Variant,
 		MaxDepth: o.MaxDepth,
 		Workers:  o.Workers,
@@ -111,8 +109,8 @@ func (o Options) chaseOptions(ctx context.Context) ChaseOptions {
 }
 
 // datalogOptions lowers Options onto the semi-naive Datalog engine.
-func (o Options) datalogOptions(ctx context.Context) DatalogOptions {
-	return DatalogOptions{
+func (o Options) datalogOptions(ctx context.Context) datalog.Options {
+	return datalog.Options{
 		Workers: o.Workers,
 		Budget:  o.budget(ctx),
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"guardedrules/internal/core"
+	"guardedrules/internal/termination"
 )
 
 func mustTheory(t *testing.T, src string) *Theory {
@@ -76,33 +77,32 @@ func TestOptionsBudgetMerge(t *testing.T) {
 	}
 }
 
-// The v2 entry points agree with their deprecated v1 wrappers.
-func TestCtxFacadeMatchesV1(t *testing.T) {
-	th := mustTheory(t, "E(X,Y) -> T(X,Y). T(X,Y), T(Y,Z) -> T(X,Z).")
-	d := mustDB(t, "E(a,b). E(b,c). E(c,d).")
-
-	v1, err := Answers(th, "T", d)
+// ChaseCertified saturates a weakly acyclic theory within its priced
+// certificate bound, and a canceled context still stops the
+// (ceiling-free) run with ErrCanceled.
+func TestChaseCertifiedCtx(t *testing.T) {
+	th := mustTheory(t, "Publication(X) -> exists K. Keywords(X,K). Keywords(X,K) -> Topic(K).")
+	d := mustDB(t, "Publication(p1). Publication(p2).")
+	rep := AnalyzeTermination(th)
+	if rep.Class != termination.ClassWA {
+		t.Fatalf("class = %v, want weakly acyclic", rep.Class)
+	}
+	bound, ok := rep.Bound.Facts(d.InternEpoch()+len(th.Constants()), d.Len())
+	if !ok {
+		t.Fatal("bound must be computable for a small database")
+	}
+	res, err := ChaseCertified(context.Background(), th, d, bound, Options{Variant: Restricted})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := AnswersCtx(context.Background(), th, "T", d, Options{})
-	if err != nil {
-		t.Fatal(err)
+	if n := len(res.DB.UserFacts()); !res.Saturated || n != 6 || res.DB.Len() > bound {
+		t.Fatalf("saturated=%v user facts=%d len=%d bound=%d, want a saturated 6-fact chase",
+			res.Saturated, n, res.DB.Len(), bound)
 	}
-	if fmt.Sprint(v1) != fmt.Sprint(v2) {
-		t.Fatalf("AnswersCtx diverged from Answers: %v vs %v", v2, v1)
-	}
-
-	g1, err := AnswersGoalDirected(th, NewAtom("T", Const("a"), Var("Y")), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := AnswersGoalDirectedCtx(context.Background(), th, NewAtom("T", Const("a"), Var("Y")), d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(g1) != fmt.Sprint(g2) || len(g2) != 3 {
-		t.Fatalf("goal-directed v2 diverged: %v vs %v", g2, g1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := ChaseCertified(ctx, th, d, bound, Options{Variant: Restricted}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package guardedrules
 
 import (
+	"context"
 	"testing"
 
 	"guardedrules/internal/tm"
@@ -25,7 +26,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDatabase(facts...)
-	res, err := Chase(th, d, ChaseOptions{Variant: Restricted, MaxDepth: 4})
+	res, err := ChaseCtx(context.Background(), th, d, Options{Variant: Restricted, MaxDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +44,14 @@ func TestFacadeTranslationChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ng, err := FrontierGuardedToNearlyGuarded(th, TranslateOptions{})
+	ng, err := TranslateCtx(context.Background(), th, ToNearlyGuarded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !Classify(ng).Member[NearlyGuarded] {
 		t.Fatal("translation must be nearly guarded")
 	}
-	dat, err := NearlyGuardedToDatalog(ng, TranslateOptions{})
+	dat, err := TranslateCtx(context.Background(), ng, ToDatalog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFacadeTranslationChain(t *testing.T) {
 		t.Fatal("dat must be Datalog")
 	}
 	facts, _ := ParseFacts(`A(a). B(a). A(b).`)
-	ans, err := Answers(dat, "Hit", NewDatabase(facts...))
+	ans, err := AnswersCtx(context.Background(), dat, "Hit", NewDatabase(facts...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestFacadeCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Chase(th, d, ChaseOptions{Variant: Restricted, MaxDepth: 12, MaxFacts: 100_000})
+	res, err := ChaseCtx(context.Background(), th, d, Options{Variant: Restricted, MaxDepth: 12, MaxFacts: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFacadeStratified(t *testing.T) {
 		t.Fatal(err)
 	}
 	facts, _ := ParseFacts(`Start(a). E(a,b). Node(a). Node(b). Node(c).`)
-	db, exact, err := EvalStratified(th, NewDatabase(facts...), ChaseOptions{})
+	db, exact, err := EvalStratifiedCtx(context.Background(), th, NewDatabase(facts...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,10 @@ func TestFacadeCore(t *testing.T) {
 		NewAtom("R", Const("a"), Const("b")),
 		{Relation: "R", Args: []Term{Const("a"), {Kind: 1, Name: "n1"}}},
 	}
-	got, exact := CoreOf(atoms)
+	got, exact, err := CoreOfCtx(context.Background(), atoms, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !exact || len(got) != 1 {
 		t.Errorf("core: %v exact=%v", got, exact)
 	}
@@ -151,7 +155,7 @@ func TestFacadeGoalDirected(t *testing.T) {
 		Par(X,Z), Anc(Z,Y) -> Anc(X,Y).
 	`)
 	facts, _ := ParseFacts(`Par(a,b). Par(b,c). Par(x,y).`)
-	ans, err := AnswersGoalDirected(th, NewAtom("Anc", Const("a"), Var("Y")), NewDatabase(facts...))
+	ans, err := AnswersGoalDirectedCtx(context.Background(), th, NewAtom("Anc", Const("a"), Var("Y")), NewDatabase(facts...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,17 +295,19 @@ func TestChaseIsASolution(t *testing.T) {
 		t.Fatal("must saturate")
 	}
 	// Every rule: every body homomorphism extends to a head homomorphism.
+	// Body and head share one slot space, so at each body match the
+	// head's frontier slots are bound and its existential slots free.
 	for _, r := range th.Rules {
-		body := r.PositiveBody()
-		ok := hom.ForEach(body, res.DB, nil, func(s core.Subst) bool {
-			init := core.Subst{}
-			ev := r.EVarSet()
-			for v, tval := range s {
-				if !ev.Has(v) {
-					init[v] = tval
-				}
-			}
-			return hom.Exists(r.Head, res.DB, init)
+		body, slots := hom.CompileAtoms(r.PositiveBody(), res.DB)
+		var heads []hom.CAtom
+		for _, h := range r.Head {
+			ca := hom.Compile(h, slots)
+			ca.Resolve(res.DB)
+			heads = append(heads, ca)
+		}
+		st := hom.NewState(res.DB, len(slots))
+		ok := st.ForEach(body, func() bool {
+			return !st.Search(heads, make([]bool, len(heads)), func() bool { return false })
 		})
 		if !ok {
 			t.Errorf("rule %s violated in the chase result", r.Label)

@@ -257,6 +257,8 @@ func CollectAnswers(d database.Store, q string) [][]core.Term {
 	return out
 }
 
+// tupleLess orders tuples lexicographically by (Name, Kind) per
+// position, shorter tuples first on a common prefix.
 func tupleLess(a, b []core.Term) bool {
 	for i := range a {
 		if i >= len(b) {
@@ -265,37 +267,39 @@ func tupleLess(a, b []core.Term) bool {
 		if a[i].Name != b[i].Name {
 			return a[i].Name < b[i].Name
 		}
+		if a[i].Kind != b[i].Kind {
+			return a[i].Kind < b[i].Kind
+		}
 	}
 	return len(a) < len(b)
 }
 
 // SameAnswers reports whether two answer sets are equal, and a witness
-// difference if not.
+// difference if not. Tuples compare structurally, term by term on kind
+// and name, so no two distinct tuples can collide.
 func SameAnswers(a, b [][]core.Term) (bool, string) {
-	key := func(t []core.Term) string {
-		s := ""
-		for _, x := range t {
-			s += x.String() + ","
-		}
-		return s
-	}
-	am := make(map[string]bool, len(a))
-	for _, t := range a {
-		am[key(t)] = true
-	}
-	bm := make(map[string]bool, len(b))
-	for _, t := range b {
-		bm[key(t)] = true
-	}
-	for k := range am {
-		if !bm[k] {
-			return false, "only in first: " + k
-		}
-	}
-	for k := range bm {
-		if !am[k] {
-			return false, "only in second: " + k
+	a, b = sortedSet(a), sortedSet(b)
+	for i, j := 0, 0; i < len(a) || j < len(b); i, j = i+1, j+1 {
+		switch {
+		case j == len(b) || i < len(a) && tupleLess(a[i], b[j]):
+			return false, fmt.Sprintf("only in first: %v", a[i])
+		case i == len(a) || tupleLess(b[j], a[i]):
+			return false, fmt.Sprintf("only in second: %v", b[j])
 		}
 	}
 	return true, ""
+}
+
+// sortedSet returns the distinct tuples of ts in tupleLess order.
+func sortedSet(ts [][]core.Term) [][]core.Term {
+	out := append([][]core.Term(nil), ts...)
+	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
+	n := 0
+	for _, t := range out {
+		if n == 0 || tupleLess(out[n-1], t) {
+			out[n] = t
+			n++
+		}
+	}
+	return out[:n]
 }

@@ -149,6 +149,20 @@ func TestSameAnswers(t *testing.T) {
 	if ok, diff := SameAnswers(a, c); ok || diff == "" {
 		t.Error("difference must be detected")
 	}
+	if ok, _ := SameAnswers(append(a, a[0]), a); !ok {
+		t.Error("answers are sets: a repeated tuple must not matter")
+	}
+	// Tuples compare term by term: a comma inside a name must not shift
+	// the split between terms, and a constant must not equal the null
+	// whose rendering it spells.
+	commaL := [][]core.Term{{core.Const("a,b"), core.Const("c")}}
+	commaR := [][]core.Term{{core.Const("a"), core.Const("b,c")}}
+	if ok, _ := SameAnswers(commaL, commaR); ok {
+		t.Error(`("a,b","c") and ("a","b,c") must differ`)
+	}
+	if ok, _ := SameAnswers([][]core.Term{{core.Const("_:x")}}, [][]core.Term{{core.NewNull("x")}}); ok {
+		t.Error("the constant _:x and the null x must differ")
+	}
 }
 
 // Property: transitive closure computed by the engine equals the

@@ -298,7 +298,6 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 	old := m.cur
 	work := old.Clone()
 	js := opts.Stats
-	planner := opts.Planner
 	maxFacts := 0
 	if opts.Budget != nil {
 		maxFacts = opts.Budget.MaxFacts
@@ -324,7 +323,7 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 		dItems := instantiate(cs.items)
 		for j := range dItems {
 			dItems[j].resolve(old)
-			dItems[j].replan(old, planner, jcOld, js)
+			dItems[j].replan(old, jcOld, js)
 		}
 		deleteHeads := func(cands []core.Atom) error {
 			for _, h := range cands {
@@ -346,7 +345,7 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 			bItems := instantiate(cs.negItems)
 			for j := range bItems {
 				bItems[j].resolve(old)
-				bItems[j].replan(old, planner, jcOld, js)
+				bItems[j].replan(old, jcOld, js)
 			}
 			cands, err := sweepMatches(bItems, old, (*grossAdds)[:len(*grossAdds):len(*grossAdds)], jcOld, tk)
 			if err != nil {
@@ -381,7 +380,7 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 		rItems := instantiate(cs.redItems)
 		for j := range rItems {
 			rItems[j].resolve(work)
-			rItems[j].replan(work, planner, jc, js)
+			rItems[j].replan(work, jc, js)
 		}
 		readds := 0
 		for _, k := range sortedKeys(removedSet) {
@@ -423,7 +422,7 @@ func (m *Maintained) applyDRed(adds, dels []core.Atom, inBase func(string) bool,
 			uItems := instantiate(cs.negItems)
 			for j := range uItems {
 				uItems[j].resolve(work)
-				uItems[j].replan(work, planner, jc, js)
+				uItems[j].replan(work, jc, js)
 			}
 			ubuf, err := unblockCandidates(uItems, work, (*grossDels)[:len(*grossDels):len(*grossDels)], jc, tk)
 			if err != nil {

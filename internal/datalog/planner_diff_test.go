@@ -14,7 +14,7 @@ import (
 )
 
 // Differential suite for the cost-based planner: for every (theory,
-// database, planner, worker count) cell the semi-naive fixpoint must
+// database, worker count) cell the semi-naive fixpoint must
 // render byte-identically — Database.String() is sorted, so this pins
 // the derived fact set across join orders, access paths, and merge
 // interleavings at once — and must agree with the chase-based reference
@@ -23,10 +23,6 @@ import (
 // sloppy key packing, so they guard the packed-id dedup paths
 // (database seen-sets, the worker-local keyset) too.
 func TestPlannerDifferentialCorpus(t *testing.T) {
-	planners := []struct {
-		name string
-		p    Planner
-	}{{"cost", PlannerCost}, {"greedy", PlannerGreedy}}
 	for seed := int64(0); seed < 8; seed++ {
 		theories := []struct {
 			name string
@@ -52,25 +48,22 @@ func TestPlannerDifferentialCorpus(t *testing.T) {
 					t.Fatalf("seed %d %s/%s: chase: %v", seed, tc.name, dc.name, err)
 				}
 				var want string
-				for _, pl := range planners {
-					for _, workers := range []int{1, 2, 4, 8} {
-						fix, err := EvalSemiNaiveOpts(tc.th, dc.d,
-							Options{Workers: workers, Planner: pl.p})
-						if err != nil {
-							t.Fatalf("seed %d %s/%s %s workers=%d: %v",
-								seed, tc.name, dc.name, pl.name, workers, err)
-						}
-						got := fix.String()
-						if want == "" {
-							want = got
-						} else if got != want {
-							t.Fatalf("seed %d %s/%s: %s workers=%d output differs from first cell",
-								seed, tc.name, dc.name, pl.name, workers)
-						}
-						if ok, diff := database.SameGroundAtoms(fix, ref); !ok {
-							t.Fatalf("seed %d %s/%s %s workers=%d: disagrees with chase: %s",
-								seed, tc.name, dc.name, pl.name, workers, diff)
-						}
+				for _, workers := range []int{1, 2, 4, 8} {
+					fix, err := EvalSemiNaiveOpts(tc.th, dc.d, Options{Workers: workers})
+					if err != nil {
+						t.Fatalf("seed %d %s/%s workers=%d: %v",
+							seed, tc.name, dc.name, workers, err)
+					}
+					got := fix.String()
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Fatalf("seed %d %s/%s: workers=%d output differs from first cell",
+							seed, tc.name, dc.name, workers)
+					}
+					if ok, diff := database.SameGroundAtoms(fix, ref); !ok {
+						t.Fatalf("seed %d %s/%s workers=%d: disagrees with chase: %s",
+							seed, tc.name, dc.name, workers, diff)
 					}
 				}
 			}
@@ -79,53 +72,47 @@ func TestPlannerDifferentialCorpus(t *testing.T) {
 }
 
 // TestPlannerFailAtSweep injects a cancellation at every checkpoint of a
-// parallel run, for both planners: each faulted run must return the
-// typed cancellation error and a partial database that is a subset of
-// the fixpoint, and the first non-faulted run must be byte-identical to
-// the ungoverned reference. This walks the planner and plan-runner code
+// parallel run: each faulted run must return the typed cancellation
+// error and a partial database that is a subset of the fixpoint, and the
+// first non-faulted run must be byte-identical to the ungoverned
+// reference. This walks the planner and plan-runner code
 // paths (replan, Prepare, SearchPlan leaves) through every shutdown
 // interleaving the checkpoint counter can express.
 func TestPlannerFailAtSweep(t *testing.T) {
 	thSrc, factSrc := chainTheoryAndFacts(32)
 	th := parser.MustParseTheory(thSrc)
 	facts := parser.MustParseFacts(factSrc)
-	for _, pl := range []struct {
-		name string
-		p    Planner
-	}{{"cost", PlannerCost}, {"greedy", PlannerGreedy}} {
-		t.Run(pl.name, func(t *testing.T) {
-			full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-				Options{Workers: 8, Planner: pl.p})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("cost", func(t *testing.T) {
+		full, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts), Options{Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := dump(full)
+		for n := 1; ; n += 5 {
+			if n > 100_000 {
+				t.Fatal("fault injection never ran to completion")
 			}
-			want := dump(full)
-			for n := 1; ; n += 5 {
-				if n > 100_000 {
-					t.Fatal("fault injection never ran to completion")
+			db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
+				Options{Workers: 8, Budget: budget.FailAt(n)})
+			if err == nil {
+				if got := dump(db); got != want {
+					t.Fatalf("n=%d: completed governed run differs from reference", n)
 				}
-				db, err := EvalSemiNaiveOpts(th, database.FromAtoms(facts),
-					Options{Workers: 8, Planner: pl.p, Budget: budget.FailAt(n)})
-				if err == nil {
-					if got := dump(db); got != want {
-						t.Fatalf("n=%d: completed governed run differs from reference", n)
-					}
-					break
-				}
-				if !errors.Is(err, budget.ErrCanceled) {
-					t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
-				}
-				if db == nil {
-					t.Fatalf("n=%d: canceled eval must return the partial database", n)
-				}
-				for _, line := range strings.Split(dump(db), "\n") {
-					if line != "" && !strings.Contains(want, line) {
-						t.Fatalf("n=%d: partial database holds %s, not in the fixpoint", n, line)
-					}
+				break
+			}
+			if !errors.Is(err, budget.ErrCanceled) {
+				t.Fatalf("n=%d: err = %v, want ErrCanceled", n, err)
+			}
+			if db == nil {
+				t.Fatalf("n=%d: canceled eval must return the partial database", n)
+			}
+			for _, line := range strings.Split(dump(db), "\n") {
+				if line != "" && !strings.Contains(want, line) {
+					t.Fatalf("n=%d: partial database holds %s, not in the fixpoint", n, line)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestPlannerStatsCounters checks that a cost-planned run reports

@@ -14,13 +14,13 @@ import (
 // Program is a Datalog program compiled once and evaluated many times:
 // the stratification and the per-stratum work-item templates — one
 // round-0 template per rule, one semi-naive template per (rule ×
-// positive-body-position), each with compiled id-space atoms, slot
-// assignments and the legacy greedy join order — are all computed at
-// Compile time and shared across evaluations. The join plans themselves
-// are not fixed here: the evaluator re-plans every work item each round
-// from the database's live cardinality statistics (see Options.Planner),
-// so the compile-time artifact is the plan *shape* (templates, slots,
-// candidate orders) while the per-round choice is data-driven.
+// positive-body-position), each with compiled id-space atoms and slot
+// assignments — are all computed at Compile time and shared across
+// evaluations. The join plans themselves are not fixed here: the
+// evaluator re-plans every work item each round from the database's
+// live cardinality statistics (hom.PlanBody), so the compile-time
+// artifact is the plan *shape* (templates and slots) while the
+// per-round choice is data-driven.
 //
 // A Program is immutable after Compile and safe for concurrent use: Eval
 // clones the input database and instantiates the shared templates into

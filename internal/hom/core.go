@@ -128,30 +128,37 @@ func reducingEndo(atoms []core.Atom, maxCandidates int, tk *budget.Tracker) (cor
 		pattern[i] = nullsToVars(a)
 	}
 	db := database.FromAtoms(atoms)
+	cas, slots := CompileAtoms(pattern, db)
+	st := NewState(db, len(slots))
+	// Every null occurs in the pattern, so each has a slot, bound at
+	// every complete match.
+	nullSlots := make([]int, len(nulls))
+	for i, n := range nulls {
+		nullSlots[i] = slots[nullVar(n)]
+	}
 	var out core.Subst
 	tried := 0
-	complete := ForEach(pattern, db, nil, func(s core.Subst) bool {
+	complete := st.ForEach(cas, func() bool {
 		tried++
 		tk.AddSteps(1)
 		if tried%corePollInterval == 0 && tk.Canceled() {
 			return false // abort; CoreOpts observes the cancellation
 		}
-		image := make(core.TermSet)
+		image := make(map[uint32]bool, len(nulls))
 		reducing := false
-		for _, n := range nulls {
-			t := s.Apply(core.Var("\x00null:" + n.Name))
-			if t.IsConst() || image.Has(t) {
+		for _, s := range nullSlots {
+			id := st.B[s]
+			if db.Term(id).IsConst() || image[id] {
 				reducing = true
 				break
 			}
-			image.Add(t)
+			image[id] = true
 		}
 		if reducing {
-			// Re-key the substitution from placeholder variables back to
-			// the nulls.
+			// Re-key the match from placeholder slots back to the nulls.
 			out = core.Subst{}
-			for _, n := range nulls {
-				out[n] = s.Apply(core.Var("\x00null:" + n.Name))
+			for i, n := range nulls {
+				out[n] = db.Term(st.B[nullSlots[i]])
 			}
 			return false
 		}

@@ -20,25 +20,59 @@ func atoms(src string) []core.Atom {
 	return th.Rules[0].PositiveBody()
 }
 
+// findAll returns up to limit homomorphisms h ⊇ init with h(atoms) ⊆ d
+// (limit ≤ 0 means all), searched by State and rendered as
+// substitutions in enumeration order.
+func findAll(atoms []core.Atom, d *database.Database, init core.Subst, limit int) []core.Subst {
+	cas, slots := CompileAtoms(atoms, d)
+	st := NewState(d, len(slots))
+	for v, t := range init {
+		if s, ok := slots[v]; ok {
+			id, ok := d.TermID(t)
+			if !ok {
+				return nil
+			}
+			st.Bind(s, id)
+		}
+	}
+	var out []core.Subst
+	st.ForEach(cas, func() bool {
+		h := core.Subst{}
+		for v, t := range init {
+			h[v] = t
+		}
+		for v, s := range slots {
+			h[v] = d.Term(st.B[s])
+		}
+		out = append(out, h)
+		return limit <= 0 || len(out) < limit
+	})
+	return out
+}
+
+func exists(atoms []core.Atom, d *database.Database, init core.Subst) bool {
+	return len(findAll(atoms, d, init, 1)) > 0
+}
+
 func TestExistsSimple(t *testing.T) {
 	d := db(`R(a,b). R(b,c).`)
-	if !Exists(atoms(`R(X,Y), R(Y,Z)`), d, nil) {
+	if !exists(atoms(`R(X,Y), R(Y,Z)`), d, nil) {
 		t.Error("path of length 2 exists")
 	}
-	if Exists(atoms(`R(X,Y), R(Y,X)`), d, nil) {
+	if exists(atoms(`R(X,Y), R(Y,X)`), d, nil) {
 		t.Error("no 2-cycle in acyclic database")
 	}
-	if !Exists(atoms(`R(X,X)`), db(`R(a,a).`), nil) {
+	if !exists(atoms(`R(X,X)`), db(`R(a,a).`), nil) {
 		t.Error("self-loop must match")
 	}
 }
 
 func TestConstantsFixed(t *testing.T) {
 	d := db(`R(a,b).`)
-	if !Exists(atoms(`R(a,X)`), d, nil) {
+	if !exists(atoms(`R(a,X)`), d, nil) {
 		t.Error("constant in pattern must match itself")
 	}
-	if Exists(atoms(`R(b,X)`), d, nil) {
+	if exists(atoms(`R(b,X)`), d, nil) {
 		t.Error("h(c)=c must be enforced")
 	}
 }
@@ -46,7 +80,7 @@ func TestConstantsFixed(t *testing.T) {
 func TestInitialSubstitution(t *testing.T) {
 	d := db(`R(a,b). R(c,d).`)
 	init := core.Subst{core.Var("X"): core.Const("c")}
-	all := FindAll(atoms(`R(X,Y)`), d, init, 0)
+	all := findAll(atoms(`R(X,Y)`), d, init, 0)
 	if len(all) != 1 || all[0].Apply(core.Var("Y")) != core.Const("d") {
 		t.Errorf("init not respected: %v", all)
 	}
@@ -54,16 +88,16 @@ func TestInitialSubstitution(t *testing.T) {
 
 func TestFindAllCountsAndLimit(t *testing.T) {
 	d := db(`R(a,b). R(a,c). R(b,c).`)
-	all := FindAll(atoms(`R(X,Y)`), d, nil, 0)
+	all := findAll(atoms(`R(X,Y)`), d, nil, 0)
 	if len(all) != 3 {
 		t.Errorf("FindAll: %d", len(all))
 	}
-	two := FindAll(atoms(`R(X,Y)`), d, nil, 2)
+	two := findAll(atoms(`R(X,Y)`), d, nil, 2)
 	if len(two) != 2 {
 		t.Errorf("limit ignored: %d", len(two))
 	}
 	// Join: R(X,Y), R(Y,Z) has matches a-b-c only (a-c has no continuation).
-	j := FindAll(atoms(`R(X,Y), R(Y,Z)`), d, nil, 0)
+	j := findAll(atoms(`R(X,Y), R(Y,Z)`), d, nil, 0)
 	if len(j) != 1 {
 		t.Errorf("join count: %d (%v)", len(j), j)
 	}
@@ -72,7 +106,7 @@ func TestFindAllCountsAndLimit(t *testing.T) {
 func TestNullsInDatabaseAreMappable(t *testing.T) {
 	d := database.New()
 	d.Add(core.NewAtom("R", core.Const("a"), core.NewNull("n1")))
-	all := FindAll(atoms(`R(X,Y)`), d, nil, 0)
+	all := findAll(atoms(`R(X,Y)`), d, nil, 0)
 	if len(all) != 1 || !all[0].Apply(core.Var("Y")).IsNull() {
 		t.Errorf("variables must map to nulls: %v", all)
 	}
@@ -81,10 +115,10 @@ func TestNullsInDatabaseAreMappable(t *testing.T) {
 func TestNullsInPatternMatchExactly(t *testing.T) {
 	d := database.New()
 	d.Add(core.NewAtom("R", core.NewNull("n1")))
-	if !Exists([]core.Atom{core.NewAtom("R", core.NewNull("n1"))}, d, nil) {
+	if !exists([]core.Atom{core.NewAtom("R", core.NewNull("n1"))}, d, nil) {
 		t.Error("same null must match")
 	}
-	if Exists([]core.Atom{core.NewAtom("R", core.NewNull("n2"))}, d, nil) {
+	if exists([]core.Atom{core.NewAtom("R", core.NewNull("n2"))}, d, nil) {
 		t.Error("different null must not match in plain search")
 	}
 }
@@ -119,7 +153,7 @@ func TestAnnotatedHomomorphism(t *testing.T) {
 	d := database.New()
 	d.Add(core.Atom{Relation: "R", Annotation: []core.Term{core.Const("u")}, Args: []core.Term{core.Const("a")}})
 	pat := core.Atom{Relation: "R", Annotation: []core.Term{core.Var("W")}, Args: []core.Term{core.Var("X")}}
-	all := FindAll([]core.Atom{pat}, d, nil, 0)
+	all := findAll([]core.Atom{pat}, d, nil, 0)
 	if len(all) != 1 || all[0].Apply(core.Var("W")) != core.Const("u") {
 		t.Errorf("annotation positions must participate in matching: %v", all)
 	}
@@ -128,7 +162,8 @@ func TestAnnotatedHomomorphism(t *testing.T) {
 func TestForEachEarlyStop(t *testing.T) {
 	d := db(`R(a). R(b). R(c).`)
 	n := 0
-	completed := ForEach(atoms(`R(X)`), d, nil, func(core.Subst) bool {
+	cas, slots := CompileAtoms(atoms(`R(X)`), d)
+	completed := NewState(d, len(slots)).ForEach(cas, func() bool {
 		n++
 		return n < 2
 	})
@@ -139,7 +174,7 @@ func TestForEachEarlyStop(t *testing.T) {
 
 func TestEmptyPattern(t *testing.T) {
 	// The empty conjunction has exactly the identity homomorphism.
-	all := FindAll(nil, database.New(), nil, 0)
+	all := findAll(nil, database.New(), nil, 0)
 	if len(all) != 1 {
 		t.Errorf("empty pattern: %d", len(all))
 	}
@@ -167,7 +202,7 @@ func TestTwoWalkCountProperty(t *testing.T) {
 				}
 			}
 		}
-		got := len(FindAll(atoms(`E(X,Y), E(Y,Z)`), d, nil, 0))
+		got := len(findAll(atoms(`E(X,Y), E(Y,Z)`), d, nil, 0))
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

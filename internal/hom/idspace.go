@@ -4,22 +4,21 @@ import (
 	"guardedrules/internal/core"
 )
 
-// This file is the id-space variant of the homomorphism search: the same
-// most-constrained-first backtracking as ForEach/search, but operating on
-// the database's packed uint32 id tuples with variable-slot arrays
-// instead of substitution maps. Atoms are compiled once per rule
-// (Compile), ground terms are re-resolved against the database whenever
-// it may have grown (CAtom.Resolve), and the inner loop compares and
-// binds dense ids only — no map operations and no term hashing.
+// This file is the homomorphism search: most-constrained-first
+// backtracking over the database's packed uint32 id tuples with
+// variable-slot arrays instead of substitution maps. Atoms are compiled
+// once per rule (Compile), ground terms are re-resolved against the
+// database whenever it may have grown (CAtom.Resolve), and the inner loop
+// compares and binds dense ids only — no map operations and no term
+// hashing.
 //
-// The candidate enumeration order is identical to ForEach's: the same
-// atom-selection rule (fewest candidates under the current bindings,
-// first atom wins ties), the same index choice (bestIndex's comparison
-// is replicated bit for bit), and the same fact order (per-position
-// index lists and full relation scans both follow insertion order).
-// Engines that derive determinism from ForEach's enumeration order — the
-// chase's trigger order in particular — can therefore switch between the
-// two searchers without changing their results.
+// The candidate enumeration order is that of the textbook term-space
+// search kept as an oracle in termspace_test.go: the atom with the
+// fewest candidates under the current bindings goes first (the first
+// atom wins ties), its tightest index is scanned, and facts come in
+// insertion order (per-position index lists and full relation scans
+// both follow it). The chase derives its trigger order and null
+// numbering from this order, and core computation its retraction.
 
 // CPos is one compiled flat position of an atom: a variable slot
 // (Slot >= 0) or a ground term (Slot < 0, Term kept for
@@ -67,6 +66,19 @@ func Compile(a core.Atom, slots map[core.Term]int) CAtom {
 		add(t)
 	}
 	return ca
+}
+
+// CompileAtoms compiles atoms into one fresh slot space and resolves
+// them against db. slots maps each variable to its slot, so len(slots)
+// is the width of a State searching the atoms.
+func CompileAtoms(atoms []core.Atom, db DB) (cas []CAtom, slots map[core.Term]int) {
+	slots = make(map[core.Term]int)
+	cas = make([]CAtom, len(atoms))
+	for i, a := range atoms {
+		cas[i] = Compile(a, slots)
+		cas[i].Resolve(db)
+	}
+	return cas, slots
 }
 
 // Width returns the number of flat positions (ids per fact tuple).
@@ -161,9 +173,7 @@ func (st *State) Match(ca *CAtom, ids []uint32) bool {
 
 // bestIndex picks the tightest index for ca under the current bindings:
 // the resolved position with the fewest facts, or a full relation scan
-// when no position is resolved. The comparison replicates the term-space
-// bestIndex exactly (including its tie-breaking), so both searchers pick
-// the same candidate lists.
+// when no position is resolved. Ties go to the first such position.
 func (st *State) bestIndex(ca *CAtom) (int, uint32, int) {
 	bestPos := -1
 	var bestID uint32

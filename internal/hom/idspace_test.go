@@ -10,8 +10,8 @@ import (
 	"guardedrules/internal/database"
 )
 
-// enumerate runs ForEach and renders each homomorphism as the image of
-// vars, in enumeration order.
+// enumerateTermSpace runs the term-space oracle ForEach and renders each
+// homomorphism as the image of vars, in enumeration order.
 func enumerateTermSpace(atoms []core.Atom, db *database.Database, vars []core.Term) []string {
 	var out []string
 	ForEach(atoms, db, nil, func(s core.Subst) bool {
@@ -31,14 +31,7 @@ func enumerateTermSpace(atoms []core.Atom, db *database.Database, vars []core.Te
 
 // enumerateIDSpace does the same through the compiled searcher.
 func enumerateIDSpace(atoms []core.Atom, db *database.Database, vars []core.Term) []string {
-	slots := make(map[core.Term]int)
-	cas := make([]CAtom, len(atoms))
-	for i, a := range atoms {
-		cas[i] = Compile(a, slots)
-	}
-	for i := range cas {
-		cas[i].Resolve(db)
-	}
+	cas, slots := CompileAtoms(atoms, db)
 	st := NewState(db, len(slots))
 	var out []string
 	st.ForEach(cas, func() bool {
@@ -173,11 +166,7 @@ func TestIDSpaceSeededSearch(t *testing.T) {
 		return true
 	})
 
-	slots := make(map[core.Term]int)
-	cas := []CAtom{Compile(atoms[0], slots), Compile(atoms[1], slots)}
-	for i := range cas {
-		cas[i].Resolve(db)
-	}
+	cas, slots := CompileAtoms(atoms, db)
 	st := NewState(db, len(slots))
 	ida, _ := db.TermID(core.Const("a"))
 	idb, _ := db.TermID(core.Const("b"))

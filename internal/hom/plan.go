@@ -225,14 +225,6 @@ func PlanBody(atoms []CAtom, bound []bool, st Stats) Plan {
 	return planSteps(atoms, order, append(b[:0:0], bound...), st)
 }
 
-// PlanOrder plans a join with a caller-fixed atom order (the legacy
-// greedy order, for the planner ablation) but the same per-step access
-// selection as PlanBody. bound is not modified.
-func PlanOrder(atoms []CAtom, order []int, bound []bool, st Stats) Plan {
-	b := append([]bool(nil), bound...)
-	return planSteps(atoms, order, b, st)
-}
-
 // tableKey identifies one two-position hash table: a relation and the
 // canonical (ascending) position pair.
 type tableKey struct {

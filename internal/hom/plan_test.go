@@ -20,14 +20,7 @@ func compileBody(t *testing.T, src string, db *database.Database) ([]CAtom, int)
 	if len(th.Rules) != 1 {
 		t.Fatalf("want exactly one rule in %q", src)
 	}
-	slots := make(map[core.Term]int)
-	var atoms []CAtom
-	for _, a := range th.Rules[0].PositiveBody() {
-		atoms = append(atoms, Compile(a, slots))
-	}
-	for i := range atoms {
-		atoms[i].Resolve(db)
-	}
+	atoms, slots := CompileAtoms(th.Rules[0].PositiveBody(), db)
 	return atoms, len(slots)
 }
 
@@ -168,7 +161,7 @@ func TestJoinCacheSharingAndIncrementalBuild(t *testing.T) {
 	for i := range bound {
 		bound[i] = true
 	}
-	plan := PlanOrder(atoms, []int{0, 1}, bound, db)
+	plan := PlanBody(atoms, bound, db)
 	for i, s := range plan.Steps {
 		if s.Kind != AccessProbe {
 			t.Fatalf("step %d of %s: want a probe (all positions bound)", i, plan)

@@ -81,14 +81,19 @@ func (q CQ) ContainedIn(q2 CQ) (bool, error) {
 		return false, err
 	}
 	frozen, ans := q.Freeze()
-	init := core.Subst{}
+	atoms, slots := hom.CompileAtoms(q2.Atoms, frozen)
+	st := hom.NewState(frozen, len(slots))
 	for i, v := range q2.Answer {
-		if prev, ok := init[v]; ok && prev != ans[i] {
+		// Validate put every answer variable into q2's atoms, and every
+		// frozen answer term into the canonical database.
+		s := slots[v]
+		id, _ := frozen.TermID(ans[i])
+		if st.Bd[s] && st.B[s] != id {
 			return false, nil // repeated answer variable must match twice
 		}
-		init[v] = ans[i]
+		st.Bind(s, id)
 	}
-	return hom.Exists(q2.Atoms, frozen, init), nil
+	return st.Exists(atoms), nil
 }
 
 // EquivalentTo reports whether the two queries return the same answers on
@@ -99,28 +104,4 @@ func (q CQ) EquivalentTo(q2 CQ) (bool, error) {
 		return false, err
 	}
 	return q2.ContainedIn(q)
-}
-
-// EvaluateOn returns the answers of the plain CQ over a database (no
-// rules): all homomorphism images of the answer tuple, over constants.
-func (q CQ) EvaluateOn(d database.Store) [][]core.Term {
-	seen := map[string]bool{}
-	var out [][]core.Term
-	hom.ForEach(q.Atoms, d, nil, func(s core.Subst) bool {
-		tuple := make([]core.Term, len(q.Answer))
-		key := ""
-		for i, v := range q.Answer {
-			tuple[i] = s.Apply(v)
-			if !tuple[i].IsConst() {
-				return true
-			}
-			key += tuple[i].Name + ","
-		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, tuple)
-		}
-		return true
-	})
-	return out
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"guardedrules/internal/core"
-	"guardedrules/internal/database"
-	"guardedrules/internal/parser"
 )
 
 func mustCQ(t *testing.T, src string) CQ {
@@ -95,15 +93,6 @@ func TestRepeatedAnswerVariable(t *testing.T) {
 	}
 	if ok, _ := qxy.ContainedIn(qxx); ok {
 		t.Error("edge answers are not all diagonal")
-	}
-}
-
-func TestEvaluateOn(t *testing.T) {
-	q := mustCQ(t, `E(X,Y), E(Y,Z) -> Ans(X,Z).`)
-	d := database.FromAtoms(parser.MustParseFacts(`E(a,b). E(b,c). E(c,d).`))
-	ans := q.EvaluateOn(d)
-	if len(ans) != 2 {
-		t.Errorf("answers: %v", ans)
 	}
 }
 

@@ -72,16 +72,12 @@ type QueryOptions struct {
 	// Budget, when non-nil, governs the evaluation; exhausting it yields
 	// the sound partial answers alongside a typed *budget.Error.
 	Budget *budget.T
-	// Planner selects the Datalog join-order strategy (the zero value is
-	// the cost-based planner; datalog.PlannerGreedy forces the legacy
-	// static order, for ablations).
-	Planner datalog.Planner
 }
 
 // datalogOptions derives the engine options of one evaluation, wiring
 // the store's join-planner counters into the run.
 func (o QueryOptions) datalogOptions(m *Metrics) datalog.Options {
-	opts := datalog.Options{Workers: o.Workers, Budget: o.Budget, Planner: o.Planner}
+	opts := datalog.Options{Workers: o.Workers, Budget: o.Budget}
 	if m != nil {
 		opts.Stats = &m.Join
 	}
